@@ -454,6 +454,21 @@ class ResultStore:
                     "store_digest_reuse": self.digest_reuse}
 
 
+def _dead_worker_exitcode(pool: ProcessPoolExecutor) -> Optional[int]:
+    """Exit code of a pool worker that has died, else ``None``.
+
+    Polls each worker's exit status directly (``waitpid``), which does
+    not depend on the pool's own death detection.  The pool has no
+    ``max_tasks_per_child``, so any exited worker is a dead one.
+    """
+    processes = getattr(pool, "_processes", None) or {}
+    for process in list(processes.values()):
+        exitcode = process.exitcode
+        if exitcode is not None:
+            return exitcode
+    return None
+
+
 class Node:
     """One member of the coordinator's fleet.
 
@@ -545,8 +560,8 @@ class Node:
         """
         if self.mode == "inline":
             return executor_mod.process_worker(spec, options)
-        future = self._ensure_pool().submit(
-            executor_mod.process_worker, spec, options)
+        pool = self._ensure_pool()
+        future = pool.submit(executor_mod.process_worker, spec, options)
         while True:
             try:
                 return future.result(timeout=poll_interval)
@@ -556,6 +571,16 @@ class Node:
                     raise NodeKilled(
                         f"{self.node_id} declared lost while running "
                         f"{spec.setting!r} unit; process group killed")
+                exitcode = _dead_worker_exitcode(pool)
+                if exitcode is not None:
+                    # The pool can miss a death: a sibling node forking
+                    # its own worker at the same moment inherits this
+                    # worker's sentinel pipe, so the pool never sees EOF
+                    # and the future would wait out the lease.
+                    self.kill()
+                    raise NodeKilled(
+                        f"{self.node_id} worker process died "
+                        f"(exit code {exitcode})")
             except BrokenProcessPool as exc:
                 self._pool = None
                 raise NodeKilled(

@@ -127,8 +127,42 @@ def choice_equivalent(question: Question, response: str) -> bool:
     return False
 
 
+#: Per-question verdict memo cap.  A full-zoo Table II judges at most
+#: 24 distinct responses per question (12 models x 2 settings); past the
+#: cap (free-text providers) the memo is cleared rather than grown.
+VERDICT_MEMO_CAP = 64
+
+
 def answers_equivalent(question: Question, response: str) -> bool:
-    """Top-level equivalence: dispatch on the question's answer kind."""
+    """Top-level equivalence: dispatch on the question's answer kind.
+
+    Memoised per question: ``Question`` is a frozen dataclass and every
+    field the decision procedure reads is part of its content, so the
+    verdict for a given response is stashed in a ``{response: bool}``
+    dict on the instance (as :func:`repro.core.runcache.question_digest`
+    stashes its digest) and freed with the question.  The dict is
+    cleared once it holds :data:`VERDICT_MEMO_CAP` entries.  No lock:
+    a verdict is a pure function of its key, so judges racing on one
+    question can only repeat work (or overshoot the cap by one entry
+    each), never read a wrong verdict.  Kept a plain function (no
+    ``functools.lru_cache``): profilers and tracers identify it by its
+    ``__code__``.
+    """
+    memo = question.__dict__.get("_verdicts")
+    if memo is None:
+        memo = {}
+        object.__setattr__(question, "_verdicts", memo)
+    verdict = memo.get(response)
+    if verdict is None:
+        verdict = _decide_equivalent(question, response)
+        if len(memo) >= VERDICT_MEMO_CAP:
+            memo.clear()
+        memo[response] = verdict
+    return verdict
+
+
+def _decide_equivalent(question: Question, response: str) -> bool:
+    """The uncached decision procedure behind :func:`answers_equivalent`."""
     if not response or not response.strip():
         return False
     spec: AnswerSpec = question.answer

@@ -92,7 +92,26 @@ def content_key(visual: VisualContent) -> str:
     """Stable digest of everything that determines a visual's raster
     and legibility: the render spec, dimensions, type, description and
     declared legibility scale.  Equal-content visuals — however and
-    whenever constructed — share one key."""
+    whenever constructed — share one key.
+
+    Memoised on the instance, like
+    :func:`repro.core.runcache.question_digest`: ``VisualContent`` is a
+    frozen dataclass, so the digest is stashed on the object the first
+    time and every later ``render`` / ``raster_legibility`` /
+    ``perceive`` lookup skips the JSON encode of the whole render spec;
+    ``dataclasses.replace`` builds a new instance and therefore a fresh
+    key.  Kept a plain function (no ``functools.lru_cache``): profilers
+    and tracers identify it by its ``__code__``.
+    """
+    cached = visual.__dict__.get("_content_key")
+    if cached is None:
+        cached = _compute_content_key(visual)
+        object.__setattr__(visual, "_content_key", cached)
+    return cached
+
+
+def _compute_content_key(visual: VisualContent) -> str:
+    """The uncached digest behind :func:`content_key`."""
     payload = json.dumps(
         (
             visual.visual_type.value,

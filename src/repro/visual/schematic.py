@@ -36,24 +36,6 @@ def _resistor(x: int, y: int, horizontal: bool = True, length: int = 40) -> Scen
     return scene
 
 
-def _capacitor(x: int, y: int, horizontal: bool = True, gap: int = 6) -> Scene:
-    """A two-plate capacitor symbol centred at ``(x, y)``."""
-    plate = 14
-    if horizontal:
-        return [
-            {"op": "line", "p0": [x - gap, y - plate // 2],
-             "p1": [x - gap, y + plate // 2], "thickness": 2},
-            {"op": "line", "p0": [x + gap, y - plate // 2],
-             "p1": [x + gap, y + plate // 2], "thickness": 2},
-        ]
-    return [
-        {"op": "line", "p0": [x - plate // 2, y - gap],
-         "p1": [x + plate // 2, y - gap], "thickness": 2},
-        {"op": "line", "p0": [x - plate // 2, y + gap],
-         "p1": [x + plate // 2, y + gap], "thickness": 2},
-    ]
-
-
 def _ground(x: int, y: int) -> Scene:
     return [
         {"op": "line", "p0": [x, y], "p1": [x, y + 8]},

@@ -243,3 +243,76 @@ def test_judge_never_crashes_on_arbitrary_response(response):
 def test_numeric_self_equivalence(value):
     text = f"{value:.6g}"
     assert numeric_equivalent(text, text)
+
+
+class TestVerdictMemo:
+    """``answers_equivalent`` memoises verdicts on the frozen question."""
+
+    @pytest.fixture(scope="class")
+    def zoo_responses(self, chipvqa, chipvqa_challenge):
+        import dataclasses
+
+        from repro.models import NO_CHOICE, WITH_CHOICE, build_zoo
+
+        # fresh instances: the shared fixture datasets may already carry memos
+        pairs = []
+        for dataset, setting in ((chipvqa, WITH_CHOICE),
+                                 (chipvqa_challenge, NO_CHOICE)):
+            questions = [dataclasses.replace(q) for q in dataset]
+            for provider in build_zoo():
+                answers = provider.answer_batch(questions, setting)
+                pairs.extend(zip(questions, (a.text for a in answers)))
+        return pairs
+
+    def test_memoized_verdict_equals_decision_procedure(self,
+                                                        zoo_responses):
+        from repro.judge.equivalence import _decide_equivalent
+
+        assert len(zoo_responses) == 12 * 2 * 142
+        for question, response in zoo_responses:
+            assert answers_equivalent(question, response) \
+                == _decide_equivalent(question, response)
+
+    def test_second_pass_hits_the_memo(self, zoo_responses, monkeypatch):
+        from repro.judge import equivalence
+
+        first = [answers_equivalent(q, r) for q, r in zoo_responses]
+        calls = []
+        real = equivalence._decide_equivalent
+        monkeypatch.setattr(equivalence, "_decide_equivalent",
+                            lambda q, r: calls.append(r) or real(q, r))
+        second = [answers_equivalent(q, r) for q, r in zoo_responses]
+        assert second == first
+        assert calls == []
+        for question, _ in zoo_responses:
+            assert len(question.__dict__["_verdicts"]) \
+                <= equivalence.VERDICT_MEMO_CAP
+
+    def test_memo_never_exceeds_its_cap(self):
+        from repro.judge.equivalence import (
+            VERDICT_MEMO_CAP,
+            _decide_equivalent,
+        )
+
+        question = _sa_question()
+        for index in range(3 * VERDICT_MEMO_CAP):
+            response = f"{index / 10:g} minutes"
+            assert answers_equivalent(question, response) \
+                == _decide_equivalent(question, response)
+            assert len(question.__dict__["_verdicts"]) <= VERDICT_MEMO_CAP
+        assert answers_equivalent(question, "5.5 minutes")
+
+    def test_manual_override_beats_a_memoized_verdict(self):
+        question = _mc_question()
+        assert HybridJudge().judge(question, "B").correct is False
+        manual = ManualCheckRegistry()
+        manual.record(question.qid, "B", True)
+        verdict = HybridJudge(manual=manual).judge(question, "B")
+        assert verdict.correct and verdict.method == "manual"
+
+    def test_transcript_records_memoized_verdicts(self):
+        question = _mc_question()
+        judge = AutoJudge(keep_transcript=True)
+        judge.judge(question, "A")
+        judge.judge(question, "A")
+        assert [t["verdict"] for t in judge.transcript] == ["YES", "YES"]

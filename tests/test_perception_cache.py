@@ -175,3 +175,60 @@ class TestDatasetCache:
         before = perfstats.snapshot()["dataset"]["hits"]
         build_chipvqa()
         assert perfstats.snapshot()["dataset"]["hits"] == before + 1
+
+
+class TestContentKeyMemo:
+    """``content_key`` is memoised on the frozen ``VisualContent``."""
+
+    def test_memoized_key_equals_fresh_recomputation(self, chipvqa):
+        from repro.visual import _compute_content_key, content_key
+
+        visuals = [visual for question in chipvqa
+                   for visual in question.all_visuals]
+        assert len(visuals) == 144
+        for visual in visuals:
+            first = content_key(visual)
+            assert visual.__dict__["_content_key"] == first
+            assert content_key(visual) == first
+            assert first == _compute_content_key(visual)
+
+    def test_replace_builds_a_fresh_key(self):
+        import dataclasses
+
+        from repro.core.question import VisualContent, VisualType
+        from repro.visual import _compute_content_key, content_key
+
+        visual = VisualContent(VisualType.TABLE, "memo probe")
+        key = content_key(visual)
+        same = dataclasses.replace(visual)
+        assert "_content_key" not in same.__dict__
+        assert content_key(same) == key
+        wider = dataclasses.replace(visual, width=visual.width + 1)
+        assert content_key(wider) != key
+        assert content_key(wider) == _compute_content_key(wider)
+
+    def test_pickle_round_trip_keeps_the_key(self, chipvqa):
+        import pickle
+
+        from repro.visual import content_key
+
+        for question in list(chipvqa)[:10]:
+            visual = question.visual
+            key = content_key(visual)
+            clone = pickle.loads(pickle.dumps(visual))
+            assert clone == visual
+            assert content_key(clone) == key
+
+    def test_equality_and_hash_ignore_the_memo(self):
+        import dataclasses
+
+        from repro.core.question import VisualContent, VisualType
+        from repro.visual import content_key
+
+        visual = VisualContent(VisualType.FIGURE, "hash probe")
+        fresh = dataclasses.replace(visual)
+        content_key(visual)
+        assert "_content_key" not in fresh.__dict__
+        assert visual == fresh
+        assert hash(visual) == hash(fresh)
+        assert visual != dataclasses.replace(visual, height=100)
