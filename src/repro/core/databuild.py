@@ -341,26 +341,17 @@ def _question_payload(question: Question) -> dict:
     ``Question.to_dict`` deliberately drops ``render_spec`` (prompt
     artifacts do not need it); the build cache must round-trip it, or a
     warm rebuild could not drive raster-mode evaluation.  Scenes are
-    JSON-like lists of primitive-op dicts, so they serialise directly;
-    tuples inside come back as lists, which renders identically and
-    hashes identically under the canonical JSON content keys.
+    JSON-like lists of primitive-op dicts, so they are stored by
+    reference and ``json`` serialises them directly; tuples inside
+    come back as lists, which renders identically and hashes
+    identically under the canonical JSON content keys.
     """
     payload = question.to_dict()
-    payload["visual"]["render_spec"] = _jsonable(
-        question.visual.render_spec)
+    payload["visual"]["render_spec"] = question.visual.render_spec
     for entry, visual in zip(payload["extra_visuals"],
                              question.extra_visuals):
-        entry["render_spec"] = _jsonable(visual.render_spec)
+        entry["render_spec"] = visual.render_spec
     return payload
-
-
-def _jsonable(value: Any) -> Any:
-    """Recursively coerce tuples to lists so ``json`` round-trips."""
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    return value
 
 
 def _question_from_payload(payload: dict) -> Question:

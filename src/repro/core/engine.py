@@ -108,6 +108,8 @@ class EvalEngine:
         #: ``get(unit, expected_sha256)`` / ``put(unit, payload)``)
         self.store = None
         self._manifest_lock = threading.Lock()
+        #: unit id -> (provider, fingerprint), cleared by :meth:`prepare`
+        self._fingerprints: Dict[str, Tuple[object, str]] = {}
 
     # -- canonical forms -----------------------------------------------------
 
@@ -154,6 +156,7 @@ class EvalEngine:
         ids = [unit.unit_id for unit in units]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate unit ids in {ids}")
+        self._fingerprints = {}
         if self.run_dir is not None:
             self.run_dir.mkdir(parents=True, exist_ok=True)
         collected: Dict[str, EvalResult] = {}
@@ -325,6 +328,22 @@ class EvalEngine:
 
     # -- manifest + outcome --------------------------------------------------
 
+    def _provider_fingerprint(self, unit: "WorkUnit") -> str:
+        """``unit.provider.config_fingerprint()``, computed once per run.
+
+        Every manifest rewrite lists every unit's fingerprint, so an
+        unmemoised write re-hashes each full model config.  Providers
+        are not mutated mid-run (the attempt context and the run cache
+        assume the same), so the memo holds for the run's lifetime; an
+        entry is reused only for the same provider object.
+        """
+        provider = unit.provider
+        memo = self._fingerprints.get(unit.unit_id)
+        if memo is None or memo[0] is not provider:
+            memo = (provider, provider.config_fingerprint())
+            self._fingerprints[unit.unit_id] = memo
+        return memo[1]
+
     def write_manifest(self, units: "Sequence[WorkUnit]",
                        stats: "RunStats",
                        extra: Optional[Dict[str, object]] = None) -> None:
@@ -344,7 +363,7 @@ class EvalEngine:
                          path=f"{unit.unit_id}.jsonl",
                          provider=unit.provider.name,
                          provider_fingerprint=(
-                             unit.provider.config_fingerprint()))
+                             self._provider_fingerprint(unit)))
                     for unit in units
                 ],
                 "totals": stats.as_dict(),

@@ -1,5 +1,7 @@
 """Tests for the sharded, cached, streaming procedural dataset builds."""
 
+import dataclasses
+import json
 import math
 from collections import Counter
 
@@ -172,6 +174,57 @@ def test_warm_build_cache_serves_identical_shards(tmp_path):
     # render specs round-trip through the cache codec
     for a, b in zip(cold, warm):
         assert tuple(b.visual.render_spec) == tuple(a.visual.render_spec)
+
+
+def _tuples_to_lists(value):
+    """Reference: the explicit tuple->list walk the spill codec once
+    applied to render specs before handing them to ``json``."""
+    if isinstance(value, (list, tuple)):
+        return [_tuples_to_lists(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _tuples_to_lists(item) for key, item in value.items()}
+    return value
+
+
+def _reference_payload(question):
+    payload = question.to_dict()
+    payload["visual"]["render_spec"] = _tuples_to_lists(
+        question.visual.render_spec)
+    for entry, visual in zip(payload["extra_visuals"],
+                             question.extra_visuals):
+        entry["render_spec"] = _tuples_to_lists(visual.render_spec)
+    return payload
+
+
+@pytest.mark.parametrize("seed", [0, 3, 41])
+def test_shard_spill_bytes_match_explicit_list_conversion(seed):
+    """The spill codec hands render specs to ``json`` by reference;
+    the bytes on disk equal those of the old tuple->list copy."""
+    for spec in databuild.plan_shards(3 * 142 + 50, seed, 142):
+        questions = databuild.build_shard(spec)
+        spilled = json.dumps(databuild._encode_shard(questions),
+                             sort_keys=True)
+        reference = json.dumps(
+            [_reference_payload(q) for q in questions], sort_keys=True)
+        assert spilled == reference, spec
+        decoded = databuild._decode_shard(json.loads(spilled))
+        assert decoded == questions
+        for got, want in zip(decoded, questions):
+            assert got.visual.render_spec == want.visual.render_spec
+            assert ([v.render_spec for v in got.extra_visuals]
+                    == [v.render_spec for v in want.extra_visuals])
+
+
+def test_shard_spill_bytes_match_for_nested_tuple_render_specs():
+    """Generated scenes hold no nested tuples; pin the codec on specs
+    that do, so the by-reference path stays byte-equal to the copy."""
+    question = build_chipvqa()[0]
+    nested = (("line", (0, 1), {"at": (2, (3, 4)), "ops": [(5,)]}),)
+    question = dataclasses.replace(
+        question,
+        visual=dataclasses.replace(question.visual, render_spec=nested))
+    assert (json.dumps(databuild._encode_shard([question]), sort_keys=True)
+            == json.dumps([_reference_payload(question)], sort_keys=True))
 
 
 def test_cache_keys_are_content_addressed_across_build_sizes():

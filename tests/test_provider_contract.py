@@ -13,8 +13,10 @@ acceptance criterion: ``run_table2`` over the full zoo through
 
 import asyncio
 import hashlib
+import json
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -358,13 +360,56 @@ class TestGoldenByteIdentity:
         runner = ParallelRunner(run_dir=tmp_path)
         runner.run([WorkUnit(model=provider, dataset=digital_ds,
                              setting=WITH_CHOICE)]).raise_on_failure()
-        import json
-
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         (entry,) = manifest["units"]
         assert entry["provider"] == "gpt-4o"
         assert (entry["provider_fingerprint"]
                 == provider.config_fingerprint())
+
+    def test_manifest_fingerprints_each_unit_once_per_run(
+            self, tmp_path, monkeypatch):
+        """The manifest is rewritten after every unit; each provider's
+        fingerprint is hashed once per run, not once per rewrite."""
+        zoo = build_zoo()
+        expected = {p.name: p.config_fingerprint() for p in zoo}
+        calls = Counter()
+        original = LocalProvider.config_fingerprint
+
+        def counting(provider):
+            calls[provider.name] += 1
+            return original(provider)
+
+        monkeypatch.setattr(LocalProvider, "config_fingerprint", counting)
+        run_table2(zoo, workers=1, run_dir=tmp_path)
+        # two units per zoo entry (with_choice, no_choice); each unit
+        # fingerprints at most twice: its attempt context and the memo
+        assert set(calls) == set(expected)
+        assert max(calls.values()) <= 2 * 2
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert len(manifest["units"]) == 2 * len(zoo)
+        for entry in manifest["units"]:
+            assert (entry["provider_fingerprint"]
+                    == expected[entry["provider"]])
+
+    def test_manifest_fingerprint_memo_is_per_run(self, chipvqa, tmp_path):
+        """A runner reused across runs re-fingerprints a provider that
+        was replaced between them (same unit id, new configuration)."""
+        digital_ds = chipvqa.by_category(Category.DIGITAL)
+        runner = ParallelRunner(run_dir=tmp_path, resume=False)
+        prints = []
+        for temperature in (0.0, 0.7):
+            model = build_vlm("gpt-4o")
+            model.temperature = temperature
+            provider = LocalProvider(model)
+            runner.run([WorkUnit(model=provider, dataset=digital_ds,
+                                 setting=WITH_CHOICE)]).raise_on_failure()
+            manifest = json.loads(
+                (tmp_path / "manifest.json").read_text())
+            (entry,) = manifest["units"]
+            assert (entry["provider_fingerprint"]
+                    == provider.config_fingerprint())
+            prints.append(entry["provider_fingerprint"])
+        assert prints[0] != prints[1]
 
 
 @pytest.mark.parametrize("name", ALL_PROVIDERS)

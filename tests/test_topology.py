@@ -1,8 +1,44 @@
 """Tests for NoC topology construction and metrics."""
 
+import itertools
+import math
+import tracemalloc
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arch import topology as topo
+
+
+def _brute_force_bisection(graph):
+    """Reference: the original ``itertools.combinations`` search."""
+    nodes = list(graph.nodes())
+    n = len(nodes)
+    best = math.inf
+    for half in itertools.combinations(nodes, n // 2):
+        if nodes[0] not in half:
+            continue
+        half_set = set(half)
+        cut = sum(
+            1 for u, v in graph.edges()
+            if (u in half_set) != (v in half_set)
+        )
+        best = min(best, cut)
+    return int(best)
+
+
+@st.composite
+def _even_order_graphs(draw):
+    """Random even-order graphs with 2..16 nodes."""
+    n = draw(st.sampled_from(range(2, 17, 2)))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(pair for pair, kept in zip(pairs, keep) if kept)
+    return graph
 
 
 class TestConstruction:
@@ -76,6 +112,37 @@ class TestBisection:
     def test_odd_count_rejected(self):
         with pytest.raises(ValueError):
             topo.bisection_width(topo.ring(5))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_even_order_graphs())
+    def test_bitmask_search_matches_brute_force(self, graph):
+        assert (topo.bisection_width(graph)
+                == _brute_force_bisection(graph))
+
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_edgeless_and_complete_graphs(self, n):
+        edgeless = nx.empty_graph(n)
+        complete = nx.complete_graph(n)
+        assert topo.bisection_width(edgeless) == 0
+        assert topo.bisection_width(complete) == (n // 2) ** 2
+        assert (topo.bisection_width(complete)
+                == _brute_force_bisection(complete))
+
+    def test_tuple_labelled_nodes_match_brute_force(self):
+        graph = topo.torus2d(4, 4)
+        assert (topo.bisection_width(graph)
+                == _brute_force_bisection(graph) == 8)
+
+    def test_search_allocates_under_one_megabyte(self):
+        graph = topo.hypercube(4)
+        topo.bisection_width(graph)  # warm imports and lazy state
+        tracemalloc.start()
+        try:
+            topo.bisection_width(graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_large_known_topologies(self):
         assert topo.bisection_width(topo.ring(64)) == 2
